@@ -122,6 +122,9 @@ class Meter:
     #: Optional :class:`~isebench.tracing.Tracer`: each unit becomes a
     #: root span ``bench.<phase>``.
     tracer: object = None
+    #: Reference seconds of the traced units by this meter's own clock
+    #: readings, at the tracer's scale: what its self times must sum to.
+    traced_ref_s: float = 0.0
 
     def measure(self, phase: str, group: str, fn):
         """Collect garbage, run the reference loop, time ``items =
@@ -145,6 +148,7 @@ class Meter:
                 start = time.perf_counter()
                 items = fn()
                 wall_s = time.perf_counter() - start
+            self.traced_ref_s += ref_seconds(wall_s, before)
         ref_wall_s = (before + time_reference()) / 2
         self.units.append(Unit(phase, group, items, wall_s, ref_wall_s))
         return items

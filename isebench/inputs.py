@@ -53,36 +53,34 @@ def fuzz_units(seed: int) -> Iterator[List[GeneratedProgram]]:
                for shape in SHAPES]
 
 
-def lane_sizes(seed: int, kernels=KERNELS) -> Dict[str, int]:
+def lane_sizes(seed: int) -> Dict[str, int]:
     """Problem size n per kernel: its default, moved by at most one
     step of 1/16 of the default (at least 1)."""
     rng = _rng(seed, "lanes")
     sizes = {}
-    for name in kernels:
+    for name in KERNELS:
         default = WORKLOADS[name].default_n
         sizes[name] = default + rng.choice((-1, 0, 1)) * max(
             1, default // 16)
     return sizes
 
 
-def lane_rotations(seed: int, kernels=KERNELS
-                   ) -> Iterator[List[Tuple[str, str]]]:
+def lane_rotations(seed: int) -> Iterator[List[Tuple[str, str]]]:
     """Endless stream of rotations: every (kernel, phase) unit once per
     rotation, in a seed-drawn order."""
     rng = _rng(seed, "lane-order")
-    units = [(name, phase) for name in kernels
+    units = [(name, phase) for name in KERNELS
              for phase in ("base", "ise")]
     while True:
         rng.shuffle(units)
         yield list(units)
 
 
-def sweep_spec(seed: int, kernels=KERNELS,
-               ports=SWEEP_PORTS) -> SweepSpec:
+def sweep_spec(seed: int) -> SweepSpec:
     """The sweep grid: kernels x ports x ninstrs x algorithms, axes in
     a seed-drawn order."""
     rng = _rng(seed, "sweep")
-    kernels, ports = list(kernels), list(ports)
+    kernels, ports = list(KERNELS), list(SWEEP_PORTS)
     algorithms = list(SWEEP_ALGORITHMS)
     rng.shuffle(kernels)
     rng.shuffle(ports)

@@ -16,7 +16,6 @@ code 2 and prints no result.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import shutil
@@ -30,12 +29,19 @@ from typing import Optional
 
 _ROOT = Path(__file__).resolve().parent.parent
 
-#: Set-ups per untraced run; ``setup_s`` is their median.
-SETUPS = 3
+#: Set-ups per untraced run; ``setup_s`` is the import of the
+#: workloads plus their median.
+SETUPS = 5
 
 #: Environment the program would otherwise read; the benchmark pins it.
 ENV = {"REPRO_STORE": "off", "REPRO_WORKERS": "1", "REPRO_BACKEND": None,
        "REPRO_VERIFY": None, "REPRO_CHAOS_PLAN": None}
+
+#: String-hash seed of every run.  Python salts string hashes per
+#: process, which changes the layout of the program's dicts and sets:
+#: with the salt random, the baseline lane rate of one input spanned
+#: 16% over five 10-second runs, with it fixed 4%.
+HASH_SEED = "0"
 
 
 def isolate() -> None:
@@ -66,29 +72,36 @@ def timed_rotations(workload, meter, seconds: float = 0.0,
             return
 
 
-def timed_setup(workload) -> tuple:
-    """One cold set-up: ``(ref-seconds, fingerprint)``."""
+def timed_setups(workload, meter) -> list:
+    """:data:`SETUPS` cold set-ups, each a ``setup`` unit of *meter*;
+    returns their fingerprints."""
     from repro.interp.compile import clear_code_memo
 
-    from isebench.hostref import ref_seconds, time_reference
+    fingerprints = []
 
-    clear_code_memo()
-    gc.collect()
-    ref = time_reference()
-    start = time.perf_counter()
-    fingerprint = workload.setup()
-    return ref_seconds(time.perf_counter() - start, ref), fingerprint
+    def setup() -> int:
+        fingerprints.append(workload.setup())
+        return 1
+
+    for _ in range(SETUPS):
+        clear_code_memo()
+        meter.measure("setup", "setup", setup)
+    return fingerprints
+
+
+def _import_workloads() -> int:
+    import isebench.workloads  # noqa: F401 - timed as part of set-up
+    return 1
 
 
 def run(name: str, seed: int, seconds: float, trace: bool,
         out_dir: Path) -> dict:
     """One benchmark run; returns the result object."""
-    from isebench.hostref import Meter, ref_seconds, time_reference
+    from isebench.hostref import Meter
 
-    ref = time_reference()
-    start = time.perf_counter()
+    setup_meter = Meter()
+    setup_meter.measure("import", "import", _import_workloads)
     from isebench.workloads import WORKLOAD_TYPES, Checks
-    import_ref_s = ref_seconds(time.perf_counter() - start, ref)
 
     checks = Checks()
     tmp_root = tempfile.mkdtemp(prefix="tmp-", dir=out_dir)
@@ -98,20 +111,16 @@ def run(name: str, seed: int, seconds: float, trace: bool,
         if trace:
             metrics = traced(workload, seconds, out_dir)
         else:
-            setups = []
-            first = None
-            for _ in range(SETUPS):
-                setup_s, fingerprint = timed_setup(workload)
-                setups.append(setup_s)
-                if first is None:
-                    first = fingerprint
-                else:
-                    checks.expect(fingerprint == first,
-                                  "set-up repeats differ")
+            first, *repeats = timed_setups(workload, setup_meter)
+            for fingerprint in repeats:
+                checks.expect(fingerprint == first, "set-up repeats differ")
             meter = Meter()
             timed_rotations(workload, meter, seconds)
+            (imported,) = setup_meter.phase_units("import")
+            setup_s = imported.ref_s + statistics.median(
+                u.ref_s for u in setup_meter.phase_units("setup"))
             metrics = {
-                "setup_s": (import_ref_s + statistics.median(setups), "s"),
+                "setup_s": (setup_s, "s"),
                 "peak_rss_mb": (_peak_rss_mb(), "MB"),
                 "primary_per_ref_s": (_rate(meter.rate, "primary"),
                                       "1/ref-s"),
@@ -160,11 +169,11 @@ def traced(workload, seconds: float, out_dir: Path) -> dict:
         clear_code_memo()       # drop closures bound to the wrappers
 
     checks = workload.checks
-    misnested = tracer.misnested + tracer.count_misnested_events()
+    misnested = tracer.misnested
     checks.expect(misnested == 0, f"{misnested} misnested span(s)")
-    ratio = tracer.self_sum_ratio()
+    ratio = tracer.self_sum_ratio(meter.traced_ref_s)
     checks.expect(abs(ratio - 1.0) <= 0.05,
-                  f"self times sum to {ratio:.4f} of the root spans")
+                  f"self times sum to {ratio:.4f} of the timed units")
     tracer.write_chrome(out_dir / f"trace-{workload.name}-"
                                   f"seed{workload.seed}.json")
 
@@ -222,6 +231,9 @@ def main(argv=None) -> int:
         print(f"isebench: no repro sources under {_ROOT / 'src'}; run "
               f"from a repository checkout", file=sys.stderr)
         return 2
+    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        os.environ["PYTHONHASHSEED"] = HASH_SEED
+        os.execv(sys.executable, [sys.executable, *sys.argv])
     sys.path[:0] = [str(_ROOT), str(_ROOT / "src")]
     # SIGTERM unwinds like an exception, so temp stores are removed.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))

@@ -3,11 +3,12 @@
 The tracer wraps public functions of the ``repro`` layers for the
 duration of a traced run and records one span per call: layer name,
 start, duration and nesting.  A layer's *self time* is its spans'
-durations minus the time their child spans cover, so the self times of
-all layers plus the benchmark's own root spans add up to the root
-spans' total.  Self times are scaled per root unit by the reference
-loop run just before it, so they are reported in reference
-milliseconds like the end-to-end figures.
+durations minus the time their child spans cover.  Self times are
+scaled per root unit by the reference loop run just before it, so they
+are reported in reference milliseconds like the end-to-end figures.
+The self times of all layers plus the benchmark's own root spans must
+add up to the units' time as the :class:`~isebench.hostref.Meter`
+clocks it on its own; an error in the span accounting breaks that.
 
 Wrappers are installed by rebinding the function object in every
 loaded ``repro`` module that holds it (modules import names with
@@ -68,7 +69,6 @@ class Tracer:
         self.self_s: Dict[str, float] = defaultdict(float)
         self.calls: Dict[str, int] = defaultdict(int)
         self.counts: Dict[str, float] = defaultdict(float)
-        self.root_s = 0.0
         self.misnested = 0
         self.spans = 0
         self.events: List[Tuple[str, float, float]] = []
@@ -100,8 +100,6 @@ class Tracer:
         self.spans += 1
         if stack:
             stack[-1][2] += duration
-        else:
-            self.root_s += duration * self.scale
         if record and len(self.events) < MAX_EVENTS:
             self.events.append((name, start, duration))
 
@@ -187,26 +185,11 @@ class Tracer:
     # ------------------------------------------------------------------
     # Results.
     # ------------------------------------------------------------------
-    def count_misnested_events(self) -> int:
-        """Recorded spans that overlap a sibling or outlast their
-        parent — 0 for a well-formed trace."""
-        bad = 0
-        open_ends: List[float] = []
-        slack = 1e-9
-        for _name, start, duration in sorted(
-                self.events, key=lambda e: (e[1], -e[2])):
-            end = start + duration
-            while open_ends and open_ends[-1] <= start + slack:
-                open_ends.pop()
-            if open_ends and end > open_ends[-1] + slack:
-                bad += 1
-            open_ends.append(end)
-        return bad
-
-    def self_sum_ratio(self) -> float:
-        """Summed self time of every span over the root spans' total
-        (1.0 when the accounting is exact)."""
-        return sum(self.self_s.values()) / self.root_s
+    def self_sum_ratio(self, root_s: float) -> float:
+        """Summed self time of every span over *root_s*, the root
+        units' time measured apart from the spans (1.0 when the
+        accounting is exact)."""
+        return sum(self.self_s.values()) / root_s
 
     def write_chrome(self, path) -> None:
         """Write the recorded spans as Chrome trace-event JSON."""

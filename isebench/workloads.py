@@ -21,7 +21,7 @@ import sys
 import tempfile
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.afu import build_datapath, emit_verilog
 from repro.core import Constraints, SearchLimits, select_iterative
@@ -45,7 +45,6 @@ from .inputs import (
     NIN,
     NINSTR,
     NOUT,
-    SWEEP_PORTS,
     fuzz_units,
     lane_rotations,
     lane_sizes,
@@ -145,12 +144,9 @@ class CompileCorpus:
     #: Nominal seconds of one rotation on a 2-vCPU cloud VM.
     rotation_s = 2.5
 
-    def __init__(self, seed: int, checks: Checks, kernels=KERNELS,
-                 fuzz_pool: int = FUZZ_POOL) -> None:
+    def __init__(self, seed: int, checks: Checks) -> None:
         self.seed = seed
         self.checks = checks
-        self.kernels = tuple(kernels)
-        self.fuzz_pool = fuzz_pool
         self.model = CostModel()
         #: First (baseline, ISE) cycles seen per kernel in this run.
         self.cycles: Dict[str, Tuple[float, float]] = {}
@@ -161,7 +157,7 @@ class CompileCorpus:
         reference on the walker, for both of its argument sets."""
         stream = fuzz_units(self.seed)
         self.pool = []
-        for _ in range(self.fuzz_pool):
+        for _ in range(FUZZ_POOL):
             unit = []
             for program in next(stream):
                 raw = _front(program.source, "fuzz-raw", optimise=False)
@@ -176,7 +172,7 @@ class CompileCorpus:
         index = 0
         while True:
             rotation: List[TimedUnit] = []
-            for name in self.kernels:
+            for name in KERNELS:
                 rotation.append(("primary", name,
                                  lambda name=name: self._kernel(name)))
                 unit = self.pool[index % len(self.pool)]
@@ -289,13 +285,9 @@ class LaneBatch:
     #: Nominal seconds of one rotation on a 2-vCPU cloud VM.
     rotation_s = 4.0
 
-    def __init__(self, seed: int, checks: Checks, kernels=KERNELS,
-                 lanes: Optional[Dict[str, Tuple[int, int]]] = None
-                 ) -> None:
+    def __init__(self, seed: int, checks: Checks) -> None:
         self.seed = seed
         self.checks = checks
-        self.kernels = tuple(kernels)
-        self.counts = lanes or LANES
         self.model = CostModel()
         self.state: Dict[str, _Lanes] = {}
 
@@ -306,7 +298,7 @@ class LaneBatch:
         expect = self.checks.expect
         self.state = {}
         fingerprint = []
-        for name, n in lane_sizes(self.seed, self.kernels).items():
+        for name, n in lane_sizes(self.seed).items():
             workload = WORKLOADS[name]
             app = prepare_application(name, n=n, store=None)
             selection = select_iterative(app.dfgs, CONSTRAINTS, self.model,
@@ -314,7 +306,7 @@ class LaneBatch:
             rewritten = rewrite_module(app.module, selection.cuts,
                                        self.model)
             lanes = driver_lanes(app.module, workload.driver, n,
-                                 max(self.counts[name]))
+                                 max(LANES[name]))
 
             def golden(memory, lane, workload=workload, n=n):
                 workload.verify(memory, n)
@@ -339,14 +331,14 @@ class LaneBatch:
 
     def rotations(self) -> Iterator[List[TimedUnit]]:
         """Every (kernel, phase) batch once, in a seed-drawn order."""
-        for rotation in lane_rotations(self.seed, self.kernels):
+        for rotation in lane_rotations(self.seed):
             yield [("primary" if phase == "base" else "secondary", name,
                     lambda name=name, phase=phase: self._batch(name, phase))
                    for name, phase in rotation]
 
     def _batch(self, name: str, phase: str) -> int:
         state = self.state[name]
-        count = self.counts[name][phase == "ise"]
+        count = LANES[name][phase == "ise"]
         module = state.base if phase == "base" else state.ise
         batch = run_batch(module, state.entry, state.lanes[:count],
                           verify=state.check)
@@ -386,12 +378,11 @@ class SweepStore:
     #: Nominal seconds of one rotation on a 2-vCPU cloud VM.
     rotation_s = 2.5
 
-    def __init__(self, seed: int, checks: Checks, tmp_root: str,
-                 kernels=KERNELS, ports=SWEEP_PORTS) -> None:
+    def __init__(self, seed: int, checks: Checks, tmp_root: str) -> None:
         self.seed = seed
         self.checks = checks
         self.tmp_root = tmp_root
-        self.spec = sweep_spec(seed, kernels, ports)
+        self.spec = sweep_spec(seed)
         self.reference: List[dict] = []
         self._dirs: List[str] = []
 
