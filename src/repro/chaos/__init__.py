@@ -3,15 +3,15 @@
 The chaos fabric has two halves: *injection* — a seeded, declarative
 :class:`~repro.chaos.plan.FaultPlan` wired into the store medium
 (:class:`~repro.chaos.backend.FaultyBackend`), the wire protocol
-(:func:`~repro.chaos.wirefault.wire_faults`) and cluster unit
+(:func:`~repro.chaos.wirefault.wire_faults`) and scheduled unit
 execution (:meth:`~repro.chaos.plan.FaultPlan.check_unit`) — and the
 *soak* (:func:`~repro.chaos.runner.run_chaos`, the ``repro chaos``
-verb), which runs a store-backed cluster sweep under a seeded fault
+verb), which runs a store-backed multi-worker sweep under a seeded fault
 schedule and asserts that every surviving result is bit-identical to
 the fault-free run.
 
 ``runner`` is imported lazily: worker processes import this package
-for :func:`plan_from_env` alone and must not pay for (or cycle into)
+for :class:`FaultPlan` alone and must not pay for (or cycle into)
 the sweep machinery.
 """
 

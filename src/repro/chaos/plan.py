@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a declarative list of :class:`FaultSpec`
 records plus a seed.  Injection sites (the store medium wrapper, the
-wire-protocol hook, the cluster unit executor) ask the plan what to
+wire-protocol hook, the scheduler's unit executor) ask the plan what to
 inject before each operation via :meth:`FaultPlan.draw`; the plan
 answers from a per-site operation counter and a per-site seeded RNG,
 so the same plan over the same per-site operation sequence injects the
@@ -17,10 +17,11 @@ Two scheduling styles compose freely:
   ``limit`` caps total injections from one spec (e.g. "exactly one
   connection reset").
 
-Plans serialise to JSON and travel to forked cluster workers through
-the ``REPRO_CHAOS_PLAN`` environment variable (:func:`env_plan` /
-:func:`plan_from_env`) — the same trick the store uses with its spec
-strings, so the injection layer needs no wire-protocol changes.
+Plans serialise to JSON.  A soak publishes its plan through the
+``REPRO_CHAOS_PLAN`` environment variable (:func:`env_plan` /
+:func:`plan_from_env`); the sweep hands it to its warm-phase bag only,
+and the TCP leader ships a bag's plan to its workers in the welcome
+message — so selection rounds never see unit faults.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ class FaultSpec:
       are ``send``/``recv``): ``reset`` closes the socket and raises,
       ``truncate`` ships half a frame then resets (send only),
       ``stall`` sleeps ``delay_s`` before the frame moves;
-    * ``site="unit"`` (cluster unit execution; ops are unit indexes as
-      strings): ``poison`` raises :class:`ChaosInjectedError` from the
-      unit body, ``stall``/``delay`` sleep ``delay_s`` in the unit,
-      ``kill`` hard-exits the worker *process* mid-unit (skipped
+    * ``site="unit"`` (unit execution in a bag handed the plan; ops
+      are unit indexes as strings): ``poison`` raises
+      :class:`ChaosInjectedError` from the unit body,
+      ``stall``/``delay`` sleep ``delay_s`` in the unit, ``kill``
+      hard-exits the worker *process* mid-unit (skipped
       outside a forked worker, so a kill schedule can never take down
       the leader or a test thread).
     """
@@ -163,13 +165,13 @@ class FaultPlan:
             return hits
 
     def check_unit(self, index: int, allow_kill: bool = False) -> None:
-        """Unit-site injection hook for the cluster fabric.
+        """Unit-site injection hook for the unit scheduler.
 
         Raises :class:`ChaosInjectedError` for a ``poison`` spec;
         ``stall``/``delay`` sleep ``delay_s`` (exercising the leader's
         unit deadline); a ``kill`` spec hard-exits the process when
-        *allow_kill* is true (forked cluster workers) and is *skipped*
-        otherwise — threads and the leader's inline fallback must
+        *allow_kill* is true (forked workers) and is *skipped*
+        otherwise — threads and the inline drain must
         survive a kill schedule, which is exactly what makes a killed
         unit cost a requeue instead of a lost row."""
         for spec in self.draw("unit", str(index)):

@@ -29,16 +29,16 @@ Subcommands:
   batched lanes, verifier + selection checker), failures shrunk to
   minimal reproducers; ``--soak`` for open-ended runs;
 * ``chaos`` — seeded fault-injection soak (DESIGN.md §16): a
-  store-backed cluster sweep under injected store/wire/worker faults
-  plus a mid-run store-server restart, asserted bit-identical to the
-  fault-free serial run (exit 1 on any divergence);
+  store-backed multi-worker sweep under injected store/wire/worker
+  faults plus a mid-run store-server restart, asserted bit-identical
+  to the fault-free serial run (exit 1 on any divergence);
 * ``afu`` — generate Verilog for the selected custom instructions;
 * ``cache`` — inspect or maintain the persistent artifact store;
 * ``store`` — run store services: ``repro store serve`` exports a
   store over TCP so other processes and nodes mount it as
   ``--store-dir tcp://HOST:PORT``;
 * ``worker`` — join a running ``repro sweep --listen`` leader and
-  pull warm-phase units until its queue drains (``--cluster N``
+  pull warm-phase units until its queue drains (``--workers N``
   shards the same queue over local processes).
 
 Verbs that execute programs accept ``--backend walk|block|compiled``
@@ -307,7 +307,7 @@ def cmd_sweep(args) -> int:
     echo = (lambda line: print(line, file=sys.stderr)) \
         if not args.quiet else None
     outcome = session.sweep(spec, use_cache=not args.no_cache, echo=echo,
-                            cluster=args.cluster, listen=args.listen)
+                            listen=args.listen)
     print(format_table(outcome.rows))
     cache_note = ""
     if outcome.cache_stats is not None:
@@ -691,7 +691,7 @@ def cmd_chaos(args) -> int:
     ninstrs = tuple(_csv_ints(args.ninstr))
     algorithms = tuple(_csv_list(args.algos))
     report = run_chaos(
-        seed=args.seed, workers=args.cluster, workloads=workloads,
+        seed=args.seed, workers=args.workers, workloads=workloads,
         ports=tuple(ports), ninstrs=ninstrs, algorithms=algorithms,
         limit=args.limit, n=args.n, server=args.server,
         unit_attempts=args.unit_attempts,
@@ -852,15 +852,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the flat per-point table here")
     p.add_argument("--quiet", action="store_true",
                    help="suppress progress lines on stderr")
-    p.add_argument("--cluster", type=int, default=None, metavar="N",
-                   help="shard the warm phase across N local worker "
-                        "processes through the leader/worker fabric "
-                        "(results bit-identical to serial)")
     p.add_argument("--listen", default=None, metavar="HOST:PORT",
                    help="additionally accept remote 'repro worker "
-                        "--connect' nodes on this address (use a "
-                        "shared tcp:// or sqlite: --store-dir so "
-                        "they reach the same artifacts)")
+                        "--connect' nodes on this address (with "
+                        "--workers 1, only those; use a shared "
+                        "tcp:// or sqlite: --store-dir so they reach "
+                        "the same artifacts)")
     _add_workers(p)
     _add_store(p)
     _add_backend(p)
@@ -1019,13 +1016,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="seeded fault-injection soak: a store-backed cluster "
+        help="seeded fault-injection soak: a store-backed multi-worker "
              "sweep under store/wire/worker faults, asserted "
              "bit-identical to the fault-free run")
     p.add_argument("--seed", type=int, default=0,
                    help="fault-schedule seed (default 0); same seed, "
                         "same faults")
-    p.add_argument("--cluster", type=int, default=2, metavar="N",
+    p.add_argument("--workers", type=int, default=2, metavar="N",
                    help="local worker processes for the chaos sweep "
                         "(default 2)")
     p.add_argument("--workloads", default="fir,crc32",

@@ -1,30 +1,25 @@
-"""Leader/worker sweep sharding over TCP (DESIGN.md §15).
+"""The TCP transport of the one unit scheduler (DESIGN.md §15).
 
-A sweep's warm phase is a bag of independent, idempotent *(block,
-constraint)* identification units whose results are content-addressed
-— exactly the shape that shards across machines.  This package is the
-fabric:
+:func:`repro.core.parallel.scheduled_map` drains every bag of
+independent units — the sweep's warm phase, the selection strategies'
+per-block rounds — either inline or through this package:
 
-* :class:`~repro.cluster.leader.ClusterLeader` — owns the unit queue,
-  hands units out **largest-first** to whichever worker asks next
-  (work stealing by construction: an idle worker pulls the next unit,
-  so one oversized Optimal block occupies one worker while every
-  other unit drains through the rest), requeues units lost to a dead
-  worker, and records per-unit telemetry;
+* :class:`~repro.cluster.leader.ClusterLeader` — serves a
+  :class:`~repro.core.parallel.UnitBag` over TCP, largest unit first
+  to whichever worker asks next (work stealing by construction);
+  :func:`~repro.cluster.leader.serve` forks the local workers
+  (``--workers N``), optionally listens for remote ones
+  (``--listen HOST:PORT``) and drains leftovers inline if every local
+  worker dies;
 * :func:`~repro.cluster.worker.worker_loop` — the worker side:
-  connect, pull, execute, report, repeat (``repro worker --connect``);
-* :func:`~repro.cluster.leader.run_cluster` — the one-call local
-  topology: start a leader, fork N store-connected local worker
-  processes, optionally also listen for remote workers, collect
-  everything (``repro sweep --cluster N [--listen HOST:PORT]``).
+  connect, pull, execute, report, repeat (``repro worker --connect``).
 
-Results are bit-identical to a serial sweep regardless of topology:
-units are pure functions of their payload, the shared artifact store
-(or the returned entry lists) is the only communication medium, and
-the leader evaluates the grid itself from the merged cache.
+Results are bit-identical to a serial map regardless of topology:
+units are pure functions of their payload, and the bag, not the
+transport, decides retries and quarantine.
 """
 
-from .leader import ClusterLeader, run_cluster
+from .leader import ClusterLeader, serve
 from .worker import worker_loop
 
-__all__ = ["ClusterLeader", "run_cluster", "worker_loop"]
+__all__ = ["ClusterLeader", "serve", "worker_loop"]

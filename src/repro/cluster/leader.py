@@ -1,55 +1,45 @@
-"""The leader side of the sweep cluster.
+"""The TCP transport of :func:`repro.core.parallel.scheduled_map`.
 
-The leader owns the bag of units and serves it over the same framed
-wire protocol the store server speaks.  Scheduling is pull-based work
-stealing: the queue is a max-heap on the units' size hints, and
-whichever worker asks next receives the largest pending unit — so the
-one oversized Optimal block pins exactly one worker while every other
-unit drains through the rest, and a fast worker automatically "steals"
-the queue share a slow one cannot take.  Robustness invariants:
+The leader serves one :class:`~repro.core.parallel.UnitBag` over the
+same framed wire protocol the store server speaks.  Scheduling is
+pull-based work stealing: whichever worker asks next receives the
+largest pending unit — so one oversized Optimal block pins exactly one
+worker while every other unit drains through the rest.  The bag makes
+every scheduling decision (attempts cap, quarantine, deadlines,
+late-success supersession); this module only moves units and results
+across sockets:
 
-* a unit is *outstanding* from hand-out to result; if the worker's
-  connection drops first, the unit is requeued for the next puller;
-* duplicate results for a unit (a worker that reported and then died,
-  plus the requeued re-run) are benign: units are pure, so the copies
-  are identical and the first one wins;
-* a unit whose function *raises* is quarantined, not fatal: the worker
-  reports ``("error", index, traceback, elapsed, name)`` and keeps
-  serving, the leader retries the unit up to ``max_attempts``
-  hand-outs, then records a structured failure (``UnitReport`` with
-  ``status="error"``) and the sweep finishes around it — one poison
-  unit can no longer cascade through the whole fleet;
-* a unit held past ``unit_deadline`` seconds (hung worker) is requeued
-  by :meth:`ClusterLeader.expire_deadlines` under the same attempts
-  cap, and an overall ``deadline`` on :func:`run_cluster` abandons
-  whatever is unresolved (recorded as failures) instead of hanging;
-* :func:`run_cluster` is never stranded — if every worker dies (or
-  none could be forked), the leader runs the leftovers in-process,
-  so the cluster path degrades to serial, never to a hang.
-
-Results are reassembled in unit order (``None`` for failed units),
-bit-identical to a serial map over the payloads, with per-unit
-telemetry (:class:`~repro.core.parallel.UnitReport`) in completion
-order.
+* a worker whose unit raises reports ``("error", index, traceback,
+  elapsed, name)`` and keeps serving; the bag requeues or quarantines;
+* a connection that drops while holding a unit hands it back to the
+  bag as lost (one attempt used);
+* :func:`serve` forks the local workers, polls the bag's deadlines,
+  and — if every local worker dies, or none could be forked — drains
+  the leftovers inline **on the same bag**, so the transport degrades
+  to serial execution, never to a hang or a re-run of the whole bag.
 """
 
 from __future__ import annotations
 
-import heapq
+import socket
 import socketserver
 import threading
-import time
-import traceback
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from ..core.parallel import UnitReport
+from ..core.parallel import POLL_S, UnitBag, UnitReport, drain
 from ..wire import WireError, parse_address, recv_msg, send_msg
-from .worker import resolve_callable
 
-__all__ = ["ClusterLeader", "run_cluster"]
+__all__ = ["ClusterLeader", "serve"]
 
 #: Default port of ``repro sweep --listen`` (store server uses 9723).
 DEFAULT_PORT = 9724
+
+#: Seconds the leader waits for a local worker to exit once the bag is
+#: resolved, before terminating it.
+JOIN_S = 10.0
+
+#: Seconds a worker connection may stay silent before it is dropped.
+IDLE_TIMEOUT_S = 3600.0
 
 #: Failures that mean "cannot fork local workers here" — the leader
 #: then runs the units itself instead of giving up.
@@ -75,8 +65,9 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         """Serve one worker connection until EOF; requeue on loss."""
         leader: ClusterLeader = self.server.leader
+        bag = leader.bag
         sock = self.request
-        sock.settimeout(leader.idle_timeout)
+        sock.settimeout(IDLE_TIMEOUT_S)
         claimed: Optional[int] = None
         name = "?"
         try:
@@ -89,28 +80,29 @@ class _Handler(socketserver.BaseRequestHandler):
                     name = str(message[1])
                     send_msg(sock, ("welcome", {
                         "fn": leader.fn_path,
-                        "units": leader.pending_count(),
-                        "store": leader.store_spec,
+                        "units": bag.pending_count(),
+                        "plan": (bag.plan.to_json()
+                                 if bag.plan is not None else None),
                     }))
                 elif op == "get":
-                    status, index, payload = leader.take(name)
+                    status, index, payload = bag.take(name)
+                    if status == "wait":
+                        # Pace the worker here, not in a client-side
+                        # sleep, so the bag's completion answers
+                        # "done" at once.
+                        bag.wait(timeout=POLL_S)
+                        status, index, payload = bag.take(name)
                     if status == "unit":
                         claimed = index
                         send_msg(sock, ("unit", index, payload))
-                    elif status == "wait":
-                        send_msg(sock, ("wait",))
                     else:
-                        send_msg(sock, ("done",))
-                elif op == "result":
-                    _tag, index, result, elapsed, reporter = message
-                    leader.complete(index, result, elapsed,
-                                    str(reporter))
-                    claimed = None
-                    send_msg(sock, ("ok",))
-                elif op == "error":
-                    _tag, index, error, elapsed, reporter = message
-                    leader.fail(index, str(error), elapsed,
-                                str(reporter))
+                        send_msg(sock, (status,))
+                elif op in ("result", "error"):
+                    _tag, index, value, elapsed, _reporter = message
+                    if op == "result":
+                        bag.complete(index, value, elapsed, name)
+                    else:
+                        bag.fail(index, str(value), elapsed, name)
                     claimed = None
                     send_msg(sock, ("ok",))
                 elif op == "ping":
@@ -121,229 +113,40 @@ class _Handler(socketserver.BaseRequestHandler):
             pass
         finally:
             if claimed is not None:
-                leader.requeue(claimed)
+                bag.requeue(claimed, name)
 
 
 class ClusterLeader:
-    """Unit queue + result collector behind a TCP accept loop.
+    """A :class:`~repro.core.parallel.UnitBag` behind a TCP accept
+    loop: connecting workers pull its units and run the module-level
+    callable named by *fn_path* (``module:callable``) on them."""
 
-    Serves *payloads* largest-first (by *size_hints*) to connecting
-    workers, which execute the module-level callable named by
-    *fn_path* (``module:callable``).  ``take``/``complete``/``requeue``
-    are the scheduling core — also used directly by the leader's own
-    in-process fallback — and are thread-safe.
-    """
-
-    def __init__(self, fn_path: str, payloads: Sequence,
-                 size_hints: Optional[Sequence[float]] = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 store_spec: Optional[str] = None,
-                 idle_timeout: float = 3600.0,
-                 max_attempts: int = 3,
-                 unit_deadline: Optional[float] = None) -> None:
-        """Stage *payloads* for serving; call :meth:`start` to listen.
-
+    def __init__(self, bag: UnitBag, fn_path: str,
+                 host: str = "127.0.0.1", port: int = 0) -> None:
+        """Bind *host*:*port* for *bag*; call :meth:`start` to serve.
         ``port=0`` binds an ephemeral port (read it back from
-        :attr:`address`).  *store_spec* is advisory metadata echoed to
-        workers in the welcome (payloads carry their own store spec).
-        *max_attempts* caps how often one unit is handed out before it
-        is quarantined as failed; *unit_deadline* (seconds) is how long
-        a unit may stay outstanding on one worker before
-        :meth:`expire_deadlines` takes it back.
-        """
+        :attr:`address`)."""
+        self.bag = bag
         self.fn_path = fn_path
-        self.store_spec = store_spec
-        self.idle_timeout = idle_timeout
-        self.max_attempts = max(1, max_attempts)
-        self.unit_deadline = unit_deadline
-        self._payloads = list(payloads)
-        hints = (list(size_hints) if size_hints is not None
-                 else [0.0] * len(self._payloads))
-        if len(hints) != len(self._payloads):
-            raise ValueError("size_hints length mismatch")
-        self._hints = [float(h) for h in hints]
-        # Max-heap on hint, ties broken by unit order.
-        self._pending = [(-self._hints[i], i)
-                         for i in range(len(self._payloads))]
-        heapq.heapify(self._pending)
-        #: index -> (worker, monotonic hand-out time)
-        self._outstanding: dict = {}
-        self._results: dict = {}
-        self._failed: dict = {}
-        self._attempts: dict = {}
-        self._reports: List[UnitReport] = []
-        self._lock = threading.Lock()
-        self._done = threading.Event()
-        if not self._payloads:
-            self._done.set()
         self._server = _LeaderServer((host, port), self)
-        self._thread: Optional[threading.Thread] = None
+        self._server.timeout = None
+        self._closing = False
+        self._accepting: Optional[threading.Thread] = None
 
-    # ------------------------------------------------------------------
-    # Scheduling core (thread-safe; shared by handlers and fallback).
-    # ------------------------------------------------------------------
-    def take(self, worker: str) -> Tuple[str, Optional[int], object]:
-        """Claim the largest pending unit for *worker*.
-
-        Returns ``("unit", index, payload)``, or ``("wait", None,
-        None)`` when the queue is empty but units are still
-        outstanding elsewhere (one may be requeued yet), or
-        ``("done", None, None)`` when every unit is resolved (result
-        or recorded failure).  Every hand-out counts one attempt
-        against the unit's ``max_attempts`` budget.
-        """
-        with self._lock:
-            if self._pending:
-                _neg, index = heapq.heappop(self._pending)
-                self._attempts[index] = self._attempts.get(index, 0) + 1
-                self._outstanding[index] = (worker, time.monotonic())
-                return "unit", index, self._payloads[index]
-            if self._resolved_locked():
-                return "done", None, None
-            return "wait", None, None
-
-    def _resolved_locked(self) -> bool:
-        return (len(self._results) + len(self._failed)
-                >= len(self._payloads))
-
-    def _check_done_locked(self) -> None:
-        if self._resolved_locked():
-            self._done.set()
-
-    def complete(self, index: int, result, elapsed: float,
-                 worker: str) -> None:
-        """Record *result* for unit *index* (duplicates are ignored —
-        idempotent units make re-runs after a requeue identical).  A
-        late success from a worker that outlived the unit's failure
-        verdict supersedes it: a real result always beats a failure
-        record."""
-        with self._lock:
-            self._outstanding.pop(index, None)
-            if index in self._results:
-                return
-            if index in self._failed:
-                del self._failed[index]
-                self._reports = [r for r in self._reports
-                                 if not (r.index == index
-                                         and r.status != "ok")]
-            self._results[index] = result
-            self._reports.append(UnitReport(
-                index=index, size_hint=self._hints[index],
-                elapsed_s=float(elapsed), worker=worker,
-                attempts=self._attempts.get(index, 1)))
-            self._check_done_locked()
-
-    def fail(self, index: int, error: str, elapsed: float,
-             worker: str) -> None:
-        """Record one failed execution of unit *index*.
-
-        Requeues the unit while hand-outs remain under
-        ``max_attempts``; at the cap the unit is quarantined — a
-        structured ``status="error"`` report with the last traceback —
-        and the run finishes around it."""
-        with self._lock:
-            self._outstanding.pop(index, None)
-            if index in self._results or index in self._failed:
-                return
-            if self._attempts.get(index, 0) < self.max_attempts:
-                heapq.heappush(self._pending,
-                               (-self._hints[index], index))
-                return
-            self._record_failure_locked(index, error, elapsed, worker)
-
-    def _record_failure_locked(self, index: int, error: str,
-                               elapsed: float, worker: str) -> None:
-        self._failed[index] = str(error)
-        self._reports.append(UnitReport(
-            index=index, size_hint=self._hints[index],
-            elapsed_s=float(elapsed), worker=worker,
-            status="error", attempts=self._attempts.get(index, 0),
-            error=str(error)))
-        self._check_done_locked()
-
-    def requeue(self, index: int) -> None:
-        """Return a lost unit (worker died mid-run) to the queue —
-        under the same attempts cap as :meth:`fail`, so a unit that
-        kills every worker that touches it is eventually quarantined
-        instead of cycling forever."""
-        with self._lock:
-            self._outstanding.pop(index, None)
-            if index in self._results or index in self._failed:
-                return
-            if self._attempts.get(index, 0) < self.max_attempts:
-                heapq.heappush(self._pending,
-                               (-self._hints[index], index))
-                return
-            self._record_failure_locked(
-                index, f"unit lost with worker after "
-                       f"{self._attempts.get(index, 0)} attempt(s)",
-                0.0, "leader")
-
-    def expire_deadlines(self) -> int:
-        """Requeue units outstanding past ``unit_deadline`` (hung or
-        stalled worker); returns how many were taken back.  The
-        original worker's late result, if it ever lands, is absorbed
-        by :meth:`complete`'s dedup."""
-        if self.unit_deadline is None:
-            return 0
-        now = time.monotonic()
-        expired = 0
-        with self._lock:
-            for index, (worker, since) in list(self._outstanding.items()):
-                if now - since < self.unit_deadline:
-                    continue
-                self._outstanding.pop(index, None)
-                expired += 1
-                if index in self._results or index in self._failed:
-                    continue
-                if self._attempts.get(index, 0) < self.max_attempts:
-                    heapq.heappush(self._pending,
-                                   (-self._hints[index], index))
-                else:
-                    self._record_failure_locked(
-                        index, f"unit deadline of "
-                               f"{self.unit_deadline}s exceeded on "
-                               f"{worker}", self.unit_deadline, worker)
-        return expired
-
-    def abandon(self, reason: str) -> int:
-        """Fail every unresolved unit with *reason* and finish the run
-        (the overall-deadline path); returns units abandoned."""
-        with self._lock:
-            self._pending = []
-            self._outstanding.clear()
-            abandoned = 0
-            for index in range(len(self._payloads)):
-                if index in self._results or index in self._failed:
-                    continue
-                self._record_failure_locked(index, reason, 0.0,
-                                            "leader")
-                abandoned += 1
-            self._done.set()
-            return abandoned
-
-    def pending_count(self) -> int:
-        """Units not yet handed out (outstanding ones excluded)."""
-        with self._lock:
-            return len(self._pending)
-
-    def failed(self) -> dict:
-        """``{index: error}`` for every quarantined unit so far."""
-        with self._lock:
-            return dict(self._failed)
-
-    # ------------------------------------------------------------------
-    # Lifecycle.
-    # ------------------------------------------------------------------
     def start(self) -> "ClusterLeader":
         """Start accepting workers on a daemon thread; returns self."""
-        # Tight poll interval: shutdown() blocks for up to one poll,
-        # and half a second of teardown would dwarf a small warm phase.
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name="repro-cluster-leader", daemon=True)
-        self._thread.start()
+        self._accepting = threading.Thread(
+            target=self._accept_loop, name="repro-cluster-leader",
+            daemon=True)
+        self._accepting.start()
         return self
+
+    def _accept_loop(self) -> None:
+        # One blocking accept per round, no poll interval: shutdown()
+        # wakes it with a connection of its own, so tearing a leader
+        # down costs no idle poll cycle.
+        while not self._closing:
+            self._server.handle_request()
 
     @property
     def address(self) -> str:
@@ -353,121 +156,53 @@ class ClusterLeader:
             host = "127.0.0.1"
         return f"{host}:{port}"
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until every unit has a result (or *timeout*)."""
-        return self._done.wait(timeout)
-
-    def run_pending_inline(self, fn: Optional[Callable] = None,
-                           poll_s: float = 0.05) -> int:
-        """Drain the queue in the calling process (fallback path).
-
-        Used when no workers could be forked or all of them died:
-        the leader claims and executes units itself until every unit
-        is resolved, briefly polling while units are outstanding on
-        still-connected remote workers.  Inline units are quarantined
-        exactly like remote ones (an exception consumes one attempt,
-        never propagates), and a chaos plan's unit faults still apply
-        — minus process kills, which degrade to poison.  Returns the
-        units run inline successfully.
-        """
-        from ..chaos.plan import plan_from_env
-
-        fn = fn or resolve_callable(self.fn_path)
-        plan = plan_from_env()
-        ran = 0
-        while True:
-            status, index, payload = self.take("leader-inline")
-            if status == "done":
-                return ran
-            if status == "wait":
-                self.expire_deadlines()
-                time.sleep(poll_s)
-                continue
-            start = time.perf_counter()
-            try:
-                if plan is not None:
-                    plan.check_unit(index, allow_kill=False)
-                result = fn(payload)
-            except Exception:
-                self.fail(index, traceback.format_exc(limit=20),
-                          time.perf_counter() - start, "leader-inline")
-                continue
-            self.complete(index, result,
-                          time.perf_counter() - start, "leader-inline")
-            ran += 1
-
-    def results(self) -> Tuple[List, List[UnitReport]]:
-        """``(results in unit order, reports in completion order)`` —
-        call after :meth:`wait` returns true.  Quarantined units hold
-        ``None`` in the results list; their reports carry
-        ``status="error"``."""
-        with self._lock:
-            ordered = [self._results.get(i)
-                       for i in range(len(self._payloads))]
-            return ordered, list(self._reports)
-
     def shutdown(self) -> None:
         """Stop accepting workers and release the socket (idempotent).
 
         Handler threads already serving a connection are daemonic and
         finish (or die with the process) on their own.
         """
-        self._server.shutdown()
+        if self._closing:
+            return
+        self._closing = True
+        if self._accepting is not None:
+            host, port = self.address.rsplit(":", 1)
+            try:
+                socket.create_connection((host, int(port)),
+                                         timeout=JOIN_S).close()
+            except OSError:
+                pass
+            self._accepting.join(timeout=JOIN_S)
         self._server.server_close()
 
 
-def run_cluster(
-    fn_path: str,
-    payloads: Sequence,
-    size_hints: Optional[Sequence[float]] = None,
-    workers: int = 0,
-    listen: Optional[str] = None,
-    store_spec: Optional[str] = None,
-    echo: Optional[Callable[[str], None]] = None,
-    poll_s: float = 0.1,
-    max_attempts: int = 3,
-    unit_deadline: Optional[float] = None,
-    deadline: Optional[float] = None,
-) -> Tuple[List, List[UnitReport]]:
-    """Map *payloads* through a leader/worker cluster, in unit order.
+def serve(bag: UnitBag, fn: Callable, fn_path: str, workers: int = 0,
+          listen: Optional[str] = None,
+          echo: Optional[Callable[[str], None]] = None,
+          ) -> Tuple[List, List[UnitReport]]:
+    """Drain *bag* through a leader with *workers* forked local
+    workers (plus remote ones on *listen*); returns the bag's
+    ``(results, reports)`` as of the moment it resolved.
 
-    Starts a :class:`ClusterLeader` for the module-level callable
-    named by *fn_path*, forks *workers* local worker processes
-    against it, and — when *listen* gives a ``HOST:PORT`` — also
-    accepts remote ``repro worker --connect`` nodes on that address.
-    Blocks until every unit is resolved and returns ``(results,
-    unit_reports)`` exactly like
-    :func:`~repro.core.parallel.scheduled_map` — except that a unit
-    whose function failed on ``max_attempts`` hand-outs resolves to
-    ``None`` with a ``status="error"`` report instead of propagating.
-
-    Never hangs: units lost to a dead worker are requeued (same
-    attempts cap), units outstanding past *unit_deadline* seconds are
-    taken back from their worker, an overall *deadline* (seconds)
-    abandons whatever is unresolved, and if no workers remain (or
-    none could be forked) the leftovers run in the calling process —
-    degradation is to serial execution, not to failure.
+    *fn* is the in-process twin of *fn_path*, run inline once every
+    forked local worker has exited (or, without *listen*, when none
+    could be forked).
     """
     say = echo or (lambda _line: None)
-    if not payloads:
-        return [], []
     host, port = ("127.0.0.1", 0)
     if listen:
         host, port = parse_address(listen, default_port=DEFAULT_PORT)
-    leader = ClusterLeader(fn_path, payloads, size_hints=size_hints,
-                           host=host, port=port,
-                           store_spec=store_spec,
-                           max_attempts=max_attempts,
-                           unit_deadline=unit_deadline).start()
-    started = time.monotonic()
+    leader = ClusterLeader(bag, fn_path, host=host, port=port).start()
     procs: List = []
     try:
         if workers > 0:
             try:
                 import multiprocessing
+
+                from .worker import _local_worker
                 for i in range(workers):
                     proc = multiprocessing.Process(
-                        target=_spawn_target,
+                        target=_local_worker,
                         args=(leader.address, i), daemon=True)
                     proc.start()
                     procs.append(proc)
@@ -475,45 +210,24 @@ def run_cluster(
                 procs = [p for p in procs if p.is_alive()]
         if listen:
             say(f"cluster: leader on {leader.address} "
-                f"({len(payloads)} unit(s), {len(procs)} local "
+                f"({len(bag.items)} unit(s), {len(procs)} local "
                 f"worker(s); repro worker --connect {leader.address})")
-        if not procs and not listen:
-            # Nothing will ever pull: run everything in-process.
-            leader.run_pending_inline()
-        while not leader.wait(timeout=poll_s):
-            leader.expire_deadlines()
-            if (deadline is not None
-                    and time.monotonic() - started >= deadline):
-                abandoned = leader.abandon(
-                    f"cluster deadline of {deadline}s exceeded")
-                say(f"cluster: overall deadline of {deadline}s "
-                    f"exceeded; abandoned {abandoned} unit(s)")
-                break
-            if procs and not any(p.is_alive() for p in procs):
-                # Every local worker died (crash, OOM-kill).  Their
-                # closed sockets requeued whatever they held; finish
-                # the leftovers here rather than hang.
-                say("cluster: local workers exited early; "
+        while not bag.wait(timeout=POLL_S):
+            bag.expire_deadlines()
+            if (procs or not listen) \
+                    and not any(p.is_alive() for p in procs):
+                # Every local worker died (crash, OOM-kill) or none
+                # could be forked.  Closed sockets requeued whatever
+                # they held; finish the leftovers here.
+                say("cluster: no local worker left; "
                     "running remaining units inline")
-                leader.run_pending_inline()
-        for proc in procs:
-            proc.join(timeout=10.0)
+                drain(bag, fn)
+        # Snapshot before the teardown: a hung worker's late result
+        # must not rewrite a verdict the run already returned on.
+        return bag.results()
     finally:
         for proc in procs:
+            proc.join(timeout=JOIN_S)
             if proc.is_alive():
                 proc.terminate()
         leader.shutdown()
-    results, reports = leader.results()
-    failed = leader.failed()
-    if failed:
-        say(f"cluster: {len(failed)} unit(s) failed after "
-            f"{max_attempts} attempt(s): "
-            f"{sorted(failed)}")
-    return results, reports
-
-
-def _spawn_target(address: str, index: int) -> None:
-    """Module-level fork target (kept here so ``run_cluster`` and the
-    worker loop stay importable under ``spawn`` start methods)."""
-    from .worker import _local_worker
-    _local_worker(address, index)

@@ -1,27 +1,28 @@
-"""The worker side of the sweep cluster (``repro worker``).
+"""The worker side of the TCP transport (``repro worker``).
 
 A worker is a pull loop: connect to the leader, announce itself, then
 repeatedly request a unit, execute it, and send the result back.  The
-unit payloads are self-contained (they carry the store spec the
-leader's planner embedded), and the *function* each unit runs is named
-by the leader in its welcome message as a ``module:callable`` path —
-the worker resolves it by import, so the protocol is transport-level
-generic while the trust model stays "your own cluster" (the same
-trusted-network assumption the store server documents).
+unit payloads are self-contained (the sweep's warm units carry the
+store spec they spill into), and the *function* each unit runs is
+named by the leader in its welcome message as a ``module:qualname``
+path — the worker resolves it by import, so the protocol is
+transport-level generic while the trust model stays "your own cluster"
+(the same trusted-network assumption the store server documents).  The
+welcome also carries the bag's fault plan, if any, so chaos faults
+reach exactly the bag they were handed to.
 
 Workers are stateless and disposable: a worker that crashes mid-unit
-costs nothing but that unit's recompute — the leader requeues it for
-the next puller.  Units are idempotent (content-addressed results), so
-the double execution a crash can cause is benign.  A unit whose
-*function* raises does not crash the worker: the traceback travels to
-the leader as an ``("error", ...)`` report and the worker keeps
-pulling — quarantining a poison unit is the leader's decision, not a
-fleet-wide cascade.
+costs that unit one attempt — the leader's bag requeues it for the
+next puller.  Units are idempotent (content-addressed results), so the
+double execution a crash can cause is benign.  A unit whose *function*
+raises does not crash the worker: the traceback travels to the leader
+as an ``("error", ...)`` report and the worker keeps pulling —
+quarantining a poison unit is the bag's decision, not a fleet-wide
+cascade.
 """
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import os
 import socket
@@ -29,12 +30,9 @@ import time
 import traceback
 from typing import Callable, Optional
 
-from ..chaos.plan import plan_from_env
+from ..chaos.plan import FaultPlan
+from ..core.parallel import resolve_callable
 from ..wire import WireError, connect, recv_msg, send_msg
-
-#: Seconds a worker sleeps when the leader says "wait" (queue empty
-#: but units still outstanding elsewhere — one may yet be requeued).
-WAIT_POLL_S = 0.05
 
 _name_counter = itertools.count()
 
@@ -59,18 +57,6 @@ def _allow_kill() -> bool:
         return False
 
 
-def resolve_callable(path: str) -> Callable:
-    """Import the ``module:callable`` path a leader names for units."""
-    module_name, sep, attr = path.partition(":")
-    if not sep:
-        raise ValueError(f"bad callable path {path!r} "
-                         f"(expected module:callable)")
-    fn = getattr(importlib.import_module(module_name), attr)
-    if not callable(fn):
-        raise ValueError(f"{path!r} is not callable")
-    return fn
-
-
 def _sleep_unit(payload):
     """Calibration unit: sleep for ``payload`` seconds and echo it.
 
@@ -88,15 +74,15 @@ def worker_loop(address: str, name: Optional[str] = None,
                 echo: Optional[Callable[[str], None]] = None) -> int:
     """Serve one leader until its queue drains; returns units done.
 
-    Connects to ``HOST:PORT``, resolves the unit callable the leader
-    announces, then pulls units until the leader answers ``done``.
+    Connects to ``HOST:PORT``, resolves the unit callable (and fault
+    plan, if any) the leader announces, then pulls units until the
+    leader answers ``done``.
     Raises ``ConnectionError``/``OSError`` if the leader is
     unreachable; a connection lost mid-run simply ends the loop (the
     leader requeues whatever this worker held).
     """
     say = echo or (lambda _line: None)
     worker_name = name or default_worker_name()
-    plan = plan_from_env()
     allow_kill = _allow_kill()
     sock = connect(address, timeout=timeout)
     done = 0
@@ -107,17 +93,17 @@ def worker_loop(address: str, name: Optional[str] = None,
             raise WireError(f"unexpected greeting {welcome!r}")
         meta = welcome[1]
         fn = resolve_callable(meta["fn"])
+        plan = (FaultPlan.from_json(meta["plan"])
+                if meta.get("plan") else None)
         say(f"{worker_name}: connected to {address}, "
-            f"{meta.get('units', '?')} unit(s) pending, fn {meta['fn']}"
-            + (f", store {meta['store']}" if meta.get("store") else ""))
+            f"{meta.get('units', '?')} unit(s) pending, fn {meta['fn']}")
         while True:
             send_msg(sock, ("get",))
             message = recv_msg(sock)
             if message is None or message[0] == "done":
                 break
             if message[0] == "wait":
-                time.sleep(WAIT_POLL_S)
-                continue
+                continue          # the leader already paced this reply
             if message[0] != "unit":
                 raise WireError(f"unexpected reply {message[0]!r}")
             _tag, index, payload = message

@@ -8,9 +8,9 @@ phases:
 2. **Warm** — the unique identification obligations implied by the grid
    are planned at *(block, constraint)* granularity, deduplicated by
    cache key, and fanned out largest-first over the work-stealing
-   :func:`repro.core.parallel.scheduled_map` (or, with ``cluster=``/
-   ``listen=``, over the leader/worker fabric of
-   :mod:`repro.cluster`).  Each worker fills a local
+   :func:`repro.core.parallel.scheduled_map` (inline, over ``workers``
+   forked local workers, and/or remote workers on ``listen=``).  Each
+   worker fills a local
    :class:`~repro.explore.cache.SearchCache` and returns its entries
    (or spills them into the shared persistent store); the parent
    merges them, which shares the memo across processes — and, through
@@ -202,7 +202,7 @@ class SweepOutcome:
     cache_entries: int = 0
     code_memo: Optional[dict] = None
     unit_reports: List[dict] = field(default_factory=list)
-    #: Warm units the cluster quarantined (``status="error"`` reports:
+    #: Warm units the scheduler quarantined (``status="error"`` reports:
     #: index, worker, attempts, last traceback).  The sweep still
     #: completes — the evaluation phase recomputes a failed unit's
     #: obligations inline through the shared cache, so rows stay
@@ -362,7 +362,6 @@ def run_sweep(
     store: Optional[ArtifactStore] = None,
     prepare: Optional[Callable] = None,
     backend: Optional[str] = None,
-    cluster: Optional[int] = None,
     listen: Optional[str] = None,
     unit_attempts: int = 3,
     unit_deadline: Optional[float] = None,
@@ -377,8 +376,9 @@ def run_sweep(
             invocations would).
         cache: optional pre-warmed cache to reuse across sweeps; a
             fresh one is created when omitted and ``use_cache`` is on.
-        workers: process fan-out for the warm phase and for cache-miss
-            identification (default: ``REPRO_WORKERS``, else serial).
+        workers: local worker processes for the warm phase and for
+            cache-miss identification (default: ``REPRO_WORKERS``,
+            else inline).  Rows are bit-identical either way.
         echo: optional progress sink (e.g. ``print``).
         store: optional persistent :class:`repro.store.ArtifactStore`:
             workload preparation, warm-phase search entries and measure
@@ -394,23 +394,19 @@ def run_sweep(
         backend: execution backend for profiling and ``measure=True``
             runs (``"walk"``/``"compiled"``; default ``$REPRO_BACKEND``,
             else compiled).  Rows are byte-identical either way.
-        cluster: when given, the warm phase runs through the
-            leader/worker fabric (:func:`repro.cluster.run_cluster`)
-            with this many local worker processes instead of the
-            in-process pool.  Rows are bit-identical either way.
-        listen: ``HOST:PORT`` the cluster leader additionally accepts
-            remote ``repro worker --connect`` nodes on (implies the
-            cluster path even with ``cluster=0``); point the store at
-            a shared medium (``tcp://`` / ``sqlite:``) so remote
-            workers reach the same artifacts.
-        unit_attempts: cluster-path hand-out budget per warm unit
-            before it is quarantined into ``failed_units`` (the sweep
-            then recomputes its obligations during evaluation).
-        unit_deadline: seconds one warm unit may stay outstanding on
-            a cluster worker before the leader requeues it.
-        cluster_deadline: overall warm-phase deadline (seconds) on the
-            cluster path; unresolved units are abandoned into
-            ``failed_units`` instead of hanging the sweep.
+        listen: ``HOST:PORT`` on which the warm phase additionally
+            accepts remote ``repro worker --connect`` nodes (with
+            ``workers=1``, only those); point the store at a shared
+            medium (``tcp://`` / ``sqlite:``) so remote workers reach
+            the same artifacts.
+        unit_attempts: hand-out budget per warm unit before it is
+            quarantined into ``failed_units`` (the sweep then
+            recomputes its obligations inline).
+        unit_deadline: seconds one warm unit may run on one worker
+            before it counts as a failed attempt.
+        cluster_deadline: overall warm-phase deadline (seconds);
+            unresolved units are abandoned into ``failed_units``
+            instead of hanging the sweep.
     """
     say = echo or (lambda _line: None)
     outcome = SweepOutcome(spec=spec)
@@ -443,18 +439,14 @@ def run_sweep(
         jobs = _plan_units(spec, apps, cache, store_spec=store_spec)
         outcome.warm_units = len(jobs)
         hints = [_unit_hint(job) for job in jobs]
-        if cluster is not None or listen:
-            from ..cluster import run_cluster
-            unit_entries, reports = run_cluster(
-                "repro.explore.runner:_warm_unit", jobs,
-                size_hints=hints, workers=(cluster or 0),
-                listen=listen, store_spec=store_spec, echo=say,
-                max_attempts=unit_attempts,
-                unit_deadline=unit_deadline,
-                deadline=cluster_deadline)
-        else:
-            unit_entries, reports = scheduled_map(
-                _warm_unit, jobs, workers=workers, size_hints=hints)
+        # Chaos unit faults belong to the warm phase only: selection
+        # rounds dispatch without a plan, so they neither fail on it
+        # nor shift its seeded draw stream.
+        from ..chaos.plan import plan_from_env
+        unit_entries, reports = scheduled_map(
+            _warm_unit, jobs, workers, hints, listen=listen,
+            max_attempts=unit_attempts, unit_deadline=unit_deadline,
+            deadline=cluster_deadline, echo=say, plan=plan_from_env())
         for entries in unit_entries:
             if entries is not None:
                 cache.merge(entries)
@@ -483,7 +475,7 @@ def run_sweep(
                 cache.merge(entries)
                 healed += 1
             if healed:
-                say(f"cluster: recomputed {healed} quarantined warm "
+                say(f"warm: recomputed {healed} quarantined warm "
                     f"unit(s) inline (quarantine report stands)")
         outcome.warm_s = time.perf_counter() - start
         say(f"warmed {len(jobs)} (block, constraint) unit(s) -> "

@@ -142,24 +142,25 @@ class Session:
 
     # ------------------------------------------------------------------
     def sweep(self, spec, use_cache: bool = True, echo=None,
-              cluster=None, listen=None, unit_attempts: int = 3,
+              listen=None, unit_attempts: int = 3,
               unit_deadline=None, cluster_deadline=None):
         """Run a whole design-space grid (:func:`repro.explore.
         run_sweep`) through the session's cache and store — a repeated
         identical sweep skips preparation and the warm phase entirely.
-        ``cluster``/``listen`` route the warm phase through the
-        leader/worker fabric (``repro sweep --cluster N``); rows are
-        bit-identical to the in-process path.  ``unit_attempts`` /
-        ``unit_deadline`` / ``cluster_deadline`` are the cluster
-        path's robustness knobs (poison-unit quarantine, hung-worker
-        requeue, overall warm-phase deadline)."""
+        The session's ``workers`` sets the warm phase's local worker
+        processes and ``listen`` also accepts remote workers
+        (``repro sweep --workers N --listen HOST:PORT``); rows are
+        bit-identical either way.  ``unit_attempts`` /
+        ``unit_deadline`` / ``cluster_deadline`` are the scheduler's
+        robustness knobs (poison-unit quarantine, hung-unit requeue,
+        overall warm-phase deadline) on every transport."""
         from .explore.runner import run_sweep
 
         return run_sweep(spec, use_cache=use_cache,
                          cache=self.cache if use_cache else None,
                          workers=self.workers, echo=echo,
                          store=self.store, backend=self.backend,
-                         cluster=cluster, listen=listen,
+                         listen=listen,
                          unit_attempts=unit_attempts,
                          unit_deadline=unit_deadline,
                          cluster_deadline=cluster_deadline,

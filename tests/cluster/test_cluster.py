@@ -1,4 +1,4 @@
-"""Tests for the leader/worker sweep fabric."""
+"""Tests for the TCP transport of the unit scheduler."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import threading
 
 import pytest
 
-from repro.cluster import ClusterLeader, run_cluster, worker_loop
-from repro.cluster.worker import resolve_callable
+from repro.cluster import ClusterLeader, worker_loop
+from repro.cluster.worker import _sleep_unit, resolve_callable
+from repro.core.parallel import UnitBag, scheduled_map
 from repro.explore import SweepSpec, run_sweep
 from repro.store import ArtifactStore
 from repro.wire import connect, recv_msg, send_msg
@@ -18,16 +19,18 @@ def _echo(payload):
     return ("ran", payload)
 
 
+_ECHO = "tests.cluster.test_cluster:_echo"
+
+
 class TestLeaderProtocol:
     def test_thread_worker_drains_queue(self):
-        leader = ClusterLeader("tests.cluster.test_cluster:_echo",
-                               list(range(5)),
-                               size_hints=[5, 4, 3, 2, 1]).start()
+        bag = UnitBag(list(range(5)), size_hints=[5, 4, 3, 2, 1])
+        leader = ClusterLeader(bag, _ECHO).start()
         try:
             done = worker_loop(leader.address, name="t1")
             assert done == 5
-            assert leader.wait(timeout=5)
-            results, reports = leader.results()
+            assert bag.wait(timeout=5)
+            results, reports = bag.results()
             assert results == [("ran", i) for i in range(5)]
             assert {r.worker for r in reports} == {"t1"}
             # Largest-first hand-out: one puller sees strict hint order.
@@ -36,8 +39,8 @@ class TestLeaderProtocol:
             leader.shutdown()
 
     def test_two_workers_share_one_queue(self):
-        leader = ClusterLeader("tests.cluster.test_cluster:_echo",
-                               list(range(20))).start()
+        bag = UnitBag(list(range(20)))
+        leader = ClusterLeader(bag, _ECHO).start()
         try:
             threads = [
                 threading.Thread(target=worker_loop,
@@ -49,16 +52,16 @@ class TestLeaderProtocol:
                 t.start()
             for t in threads:
                 t.join(timeout=10)
-            assert leader.wait(timeout=5)
-            results, reports = leader.results()
+            assert bag.wait(timeout=5)
+            results, reports = bag.results()
             assert results == [("ran", i) for i in range(20)]
             assert len(reports) == 20
         finally:
             leader.shutdown()
 
     def test_unit_lost_to_a_dead_worker_is_requeued(self):
-        leader = ClusterLeader("tests.cluster.test_cluster:_echo",
-                               ["a", "b"]).start()
+        bag = UnitBag(["a", "b"])
+        leader = ClusterLeader(bag, _ECHO).start()
         try:
             # A worker claims the first unit, then dies without
             # reporting: its connection close must requeue the unit.
@@ -71,52 +74,49 @@ class TestLeaderProtocol:
             sock.close()
             done = worker_loop(leader.address, name="rescuer")
             assert done == 2
-            assert leader.wait(timeout=5)
-            results, reports = leader.results()
+            assert bag.wait(timeout=5)
+            results, reports = bag.results()
             assert results == [("ran", "a"), ("ran", "b")]
             assert {r.worker for r in reports} == {"rescuer"}
+            # The lost hand-out used one attempt of the requeued unit.
+            assert {r.index: r.attempts for r in reports}[index] == 2
         finally:
             leader.shutdown()
 
     def test_duplicate_results_are_ignored(self):
-        leader = ClusterLeader("tests.cluster.test_cluster:_echo",
-                               ["x"]).start()
-        try:
-            leader.complete(0, ("ran", "x"), 0.1, "w1")
-            leader.complete(0, ("ran", "x"), 0.2, "w2")
-            results, reports = leader.results()
-            assert results == [("ran", "x")]
-            assert len(reports) == 1
-            assert reports[0].worker == "w1"
-        finally:
-            leader.shutdown()
+        bag = UnitBag(["x"])
+        bag.complete(0, ("ran", "x"), 0.1, "w1")
+        bag.complete(0, ("ran", "x"), 0.2, "w2")
+        results, reports = bag.results()
+        assert results == [("ran", "x")]
+        assert len(reports) == 1
+        assert reports[0].worker == "w1"
 
     def test_resolve_callable_rejects_bad_paths(self):
         with pytest.raises(ValueError):
             resolve_callable("no_colon_here")
         with pytest.raises(ValueError):
-            resolve_callable("repro.cluster.worker:WAIT_POLL_S")
+            resolve_callable("repro.cluster.leader:DEFAULT_PORT")
 
 
-class TestRunCluster:
+class TestForkedWorkers:
     def test_local_workers_match_serial(self):
         payloads = [0.0, 0.01, 0.0, 0.02]
-        results, reports = run_cluster(
-            "repro.cluster.worker:_sleep_unit", payloads,
-            size_hints=[1, 2, 1, 3], workers=2)
+        results, reports = scheduled_map(
+            _sleep_unit, payloads, size_hints=[1, 2, 1, 3], workers=2)
         assert results == payloads
         assert sorted(r.index for r in reports) == [0, 1, 2, 3]
         assert all(r.elapsed_s >= 0.0 for r in reports)
+        assert {r.worker for r in reports} <= {"local0", "local1"}
 
-    def test_zero_workers_run_inline(self):
-        results, reports = run_cluster(
-            "repro.cluster.worker:_sleep_unit", [0.0, 0.0], workers=0)
+    def test_one_worker_runs_inline(self):
+        results, reports = scheduled_map(_sleep_unit, [0.0, 0.0],
+                                         workers=1)
         assert results == [0.0, 0.0]
-        assert {r.worker for r in reports} == {"leader-inline"}
+        assert {r.worker for r in reports} == {"inline"}
 
     def test_empty_payloads(self):
-        assert run_cluster("repro.cluster.worker:_sleep_unit",
-                           [], workers=2) == ([], [])
+        assert scheduled_map(_sleep_unit, [], workers=2) == ([], [])
 
 
 def _small_spec():
@@ -151,7 +151,7 @@ class TestClusterSweep:
         serial_outcome, serial_store = serial
         root = tmp_path_factory.mktemp("cluster-store")
         store = ArtifactStore(f"sqlite:{root / 'store.sqlite'}")
-        outcome = run_sweep(_small_spec(), store=store, cluster=2)
+        outcome = run_sweep(_small_spec(), store=store, workers=2)
         assert _strip_timing(outcome.rows) == \
             _strip_timing(serial_outcome.rows)
         # The persistent media hold the same artifact key sets: the
@@ -165,14 +165,14 @@ class TestClusterSweep:
         # the pre-warmed artifacts: zero warm units, identical rows.
         serial_outcome, serial_store = serial
         outcome = run_sweep(_small_spec(), store=serial_store,
-                            cluster=2)
+                            workers=2)
         assert outcome.warm_units == 0
         assert _strip_timing(outcome.rows) == \
             _strip_timing(serial_outcome.rows)
 
     def test_unit_telemetry_reaches_the_outcome(self, tmp_path):
         store = ArtifactStore(f"sqlite:{tmp_path / 'store.sqlite'}")
-        outcome = run_sweep(_small_spec(), store=store, cluster=2)
+        outcome = run_sweep(_small_spec(), store=store, workers=2)
         assert outcome.warm_units > 0
         assert len(outcome.unit_reports) == outcome.warm_units
         for record in outcome.unit_reports:
@@ -211,7 +211,7 @@ class TestRemoteWorkerSweep:
 
         lurker = threading.Thread(target=_lurk, daemon=True)
         lurker.start()
-        outcome = run_sweep(_small_spec(), store=store, cluster=0,
+        outcome = run_sweep(_small_spec(), store=store, workers=1,
                             listen="127.0.0.1:0", echo=_echo_line)
         lurker.join(timeout=10)
         assert joined and joined[0] == outcome.warm_units
@@ -228,8 +228,7 @@ def test_parse_address_forms():
 
 
 def test_leader_port_is_reusable_after_shutdown():
-    leader = ClusterLeader("tests.cluster.test_cluster:_echo",
-                           []).start()
+    leader = ClusterLeader(UnitBag([]), _ECHO).start()
     host, port = leader._server.server_address[:2]
     leader.shutdown()
     probe = socket.socket()

@@ -1,4 +1,4 @@
-"""Tests for the work-stealing scheduler and the workers knob."""
+"""Tests for the unit-bag scheduler and the workers knob."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import pytest
 
 from repro.core.parallel import (
     WORKERS_ENV,
+    UnitBag,
+    UnitError,
     UnitReport,
-    _dispatch_order,
     parallel_map,
     resolve_workers,
     scheduled_map,
@@ -24,6 +25,28 @@ def _square(x):
 def _nap(x):
     time.sleep(float(x))
     return x
+
+
+def _counted(job):
+    """Log one execution of unit *job* to its file, then run it; unit
+    3 fails the way a store medium does (an ``OSError`` inside the
+    unit, not in the pool)."""
+    path, index = job
+    with open(path, "a") as log:
+        log.write(f"{index}\n")
+    if index == 3:
+        raise OSError("store medium failed")
+    return index * 10
+
+
+def _take_order(bag):
+    order = []
+    while True:
+        status, index, _item = bag.take("w")
+        if status != "unit":
+            return order
+        order.append(index)
+        bag.complete(index, None, 0.0, "w")
 
 
 class TestResolveWorkers:
@@ -64,13 +87,15 @@ class TestResolveWorkers:
 
 class TestDispatchOrder:
     def test_no_hints_is_input_order(self):
-        assert _dispatch_order(4, None) == [0, 1, 2, 3]
+        assert _take_order(UnitBag(range(4))) == [0, 1, 2, 3]
 
     def test_largest_first(self):
-        assert _dispatch_order(4, [1.0, 9.0, 3.0, 7.0]) == [1, 3, 2, 0]
+        bag = UnitBag(range(4), [1.0, 9.0, 3.0, 7.0])
+        assert _take_order(bag) == [1, 3, 2, 0]
 
     def test_ties_keep_input_order(self):
-        assert _dispatch_order(4, [2.0, 5.0, 2.0, 5.0]) == [1, 3, 0, 2]
+        bag = UnitBag(range(4), [2.0, 5.0, 2.0, 5.0])
+        assert _take_order(bag) == [1, 3, 0, 2]
 
 
 class TestScheduledMap:
@@ -100,7 +125,7 @@ class TestScheduledMap:
 
     def test_serial_path_reports_serial_worker(self):
         _, reports = scheduled_map(_square, [1, 2, 3], workers=1)
-        assert {r.worker for r in reports} == {"serial"}
+        assert {r.worker for r in reports} == {"inline"}
 
     def test_serial_dispatch_runs_largest_first(self):
         # With one worker the reports land in dispatch order, which
@@ -113,24 +138,49 @@ class TestScheduledMap:
         results, reports = scheduled_map(_square, list(range(8)),
                                          workers=2)
         assert results == [x * x for x in range(8)]
-        # Pool workers report their pid; a pool-infrastructure failure
-        # degrades to the serial path, which is equally correct.
+        # Forked workers report the leader's local{i} names; a failed
+        # fork degrades to the inline drain, which is equally correct.
         workers = {r.worker for r in reports}
-        assert workers == {"serial"} or all(
-            w.startswith("pid") for w in workers)
+        assert workers <= {"local0", "local1", "inline"}
 
     def test_unpicklable_fn_degrades_to_serial(self):
+        # A lambda has no import path a worker could resolve: it runs
+        # inline, binding no socket and forking nothing.
         results, reports = scheduled_map(lambda x: x + 1, [1, 2, 3],
                                          workers=2)
         assert results == [2, 3, 4]
-        assert {r.worker for r in reports} == {"serial"}
+        assert {r.worker for r in reports} == {"inline"}
 
     def test_empty_items(self):
         assert scheduled_map(_square, [], workers=2) == ([], [])
 
     def test_exceptions_propagate(self):
-        with pytest.raises(ZeroDivisionError):
-            scheduled_map(_reciprocal, [1, 0], workers=1)
+        # A raising unit is quarantined, not propagated: None plus an
+        # error report.  parallel_map turns that into one UnitError.
+        results, reports = scheduled_map(_reciprocal, [1, 0], workers=1)
+        assert results == [1.0, None]
+        failed = [r for r in reports if r.status == "error"]
+        assert [r.index for r in failed] == [1]
+        assert "ZeroDivisionError" in failed[0].error
+        with pytest.raises(UnitError, match="ZeroDivisionError"):
+            parallel_map(_reciprocal, [1, 0], workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unit_exception_reruns_only_that_unit(self, tmp_path,
+                                                  workers):
+        # Regression: the process pool took an OSError/AttributeError
+        # raised *by a unit* for a pool failure and re-ran the whole
+        # bag serially (10 executions for 6 items), then raised anyway.
+        log = tmp_path / "runs.log"
+        results, reports = scheduled_map(
+            _counted, [(str(log), i) for i in range(6)],
+            workers=workers, max_attempts=3)
+        runs = [int(line) for line in log.read_text().split()]
+        assert sorted(runs) == [0, 1, 2, 3, 3, 3, 4, 5]
+        assert results == [0, 10, 20, None, 40, 50]
+        failed = [r for r in reports if r.status == "error"]
+        assert [(r.index, r.attempts) for r in failed] == [(3, 3)]
+        assert "store medium failed" in failed[0].error
 
     def test_unit_report_as_dict(self):
         record = UnitReport(index=2, size_hint=4.0, elapsed_s=0.5,
@@ -147,8 +197,14 @@ def _reciprocal(x):
 class TestParallelMap:
     def test_matches_serial(self):
         items = list(range(17))
-        assert parallel_map(_square, items, workers=2, chunksize=3) == \
+        assert parallel_map(_square, items, workers=2) == \
             [x * x for x in items]
 
     def test_serial_fallback(self):
         assert parallel_map(_square, [3], workers=4) == [9]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_unit_raises_unit_error(self, workers):
+        with pytest.raises(UnitError, match="unit 1 failed") as info:
+            parallel_map(_reciprocal, [1, 0, 2], workers=workers)
+        assert "ZeroDivisionError" in str(info.value)
